@@ -209,6 +209,7 @@ class CheckpointManager:
             self.store(checkpoint)
             captured += 1
         self.checkpoints_taken += 1
+        self.flows_captured += captured
         self._m_checkpoints.inc()
         self._m_flows.inc(captured)
         self.audit.emit(
@@ -228,6 +229,7 @@ class CheckpointManager:
         checkpoint = capture_flow(runtime, flow, replica_id=replica_id, log_seq=log_seq)
         if checkpoint is not None:
             self.store(checkpoint)
+            self.flows_captured += 1
             self._m_flows.inc()
             self.audit.emit(
                 "ft_checkpoint",

@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net.flow import FiveTuple
+from repro.nf.mazunat import NatPortExhausted
 from repro.obs.audit import AuditLog, NULL_AUDIT
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 
@@ -224,8 +225,12 @@ class Transaction:
         self.writes.clear()
 
 
-class PortPoolExhausted(RuntimeError):
-    """No free external ports remain in the shared pool."""
+class PortPoolExhausted(NatPortExhausted):
+    """No free external ports remain in the shared pool.
+
+    A :class:`NatPortExhausted`, so a NAT drops the new flow whichever
+    allocator refused it.
+    """
 
 
 class SharedPortPool:

@@ -14,9 +14,9 @@ its Local MAT.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple, Union
 
-from repro.core.actions import Modify
+from repro.core.actions import Drop, Forward, Modify
 from repro.core.local_mat import InstrumentationAPI
 from repro.net.addresses import ip_to_int
 from repro.net.flow import FiveTuple
@@ -60,7 +60,13 @@ class MazuNAT(NetworkFunction):
         self.mappings: Dict[FiveTuple, Tuple[int, int]] = {}
         #: (external ip, external port, proto) -> internal five-tuple
         self.reverse: Dict[Tuple[int, int, int], FiveTuple] = {}
+        #: external port -> number of live mappings holding it
+        self._ports_in_use: Dict[int, int] = {}
+        #: outbound flows refused a port: dropped until they close, the
+        #: same verdict a recorded Drop() replays on the fast path
+        self._exhausted: Set[FiveTuple] = set()
         self.translations = 0
+        self.port_exhaustion_drops = 0
 
     # -- address-space helpers ----------------------------------------------
 
@@ -72,10 +78,10 @@ class MazuNAT(NetworkFunction):
 
     def allocate_port(self) -> int:
         # Ports held by *imported* mappings were never handed out by this
-        # allocator, so both sources must skip anything already in the
-        # reverse table — without the guard a migrated-in flow's external
-        # port could be double-allocated.
-        in_use = {port for __, port, __ in self.reverse}
+        # allocator, so both sources must skip anything already mapped —
+        # without the guard a migrated-in flow's external port could be
+        # double-allocated.
+        in_use = self._ports_in_use
         while self._free_ports:
             port = self._free_ports.pop()
             if port not in in_use:
@@ -89,12 +95,27 @@ class MazuNAT(NetworkFunction):
             f"{self.name}: external port pool {self.port_lo}-{self.port_hi} exhausted"
         )
 
+    def _map(self, internal: FiveTuple, ext_ip: int, ext_port: int) -> None:
+        if internal in self.mappings:
+            self._unmap(internal)
+        self.mappings[internal] = (ext_ip, ext_port)
+        self.reverse[(ext_ip, ext_port, internal.protocol)] = internal
+        self._ports_in_use[ext_port] = self._ports_in_use.get(ext_port, 0) + 1
+
+    def _unmap(self, internal: FiveTuple) -> Tuple[int, int]:
+        ext_ip, ext_port = self.mappings.pop(internal)
+        self.reverse.pop((ext_ip, ext_port, internal.protocol), None)
+        holders = self._ports_in_use[ext_port] - 1
+        if holders:
+            self._ports_in_use[ext_port] = holders
+        else:
+            del self._ports_in_use[ext_port]
+        return ext_ip, ext_port
+
     def release_mapping(self, flow: FiveTuple) -> bool:
-        mapping = self.mappings.pop(flow, None)
-        if mapping is None:
+        if flow not in self.mappings:
             return False
-        ext_ip, ext_port = mapping
-        self.reverse.pop((ext_ip, ext_port, flow.protocol), None)
+        __, ext_port = self._unmap(flow)
         if self.port_pool is not None:
             self.port_pool.release(flow)
         else:
@@ -103,19 +124,25 @@ class MazuNAT(NetworkFunction):
 
     # -- packet processing ---------------------------------------------------
 
-    def _outbound_action(self, flow: FiveTuple) -> Modify:
+    def _outbound_action(self, flow: FiveTuple) -> Union[Modify, Drop]:
         mapping = self.mappings.get(flow)
         if mapping is None:
+            if flow in self._exhausted:
+                return Drop()
             self.charge(Operation.NAT_PORT_ALLOC)
-            if self.port_pool is not None:
-                # Idempotent per flow: a recovery replay of this packet
-                # re-acquires the *same* port the pre-crash run got.
-                port = self.port_pool.acquire(flow)
-            else:
-                port = self.allocate_port()
-            mapping = (self.external_ip, port)
-            self.mappings[flow] = mapping
-            self.reverse[(mapping[0], mapping[1], flow.protocol)] = flow
+            try:
+                if self.port_pool is not None:
+                    # Idempotent per flow: a recovery replay of this packet
+                    # re-acquires the *same* port the pre-crash run got.
+                    port = self.port_pool.acquire(flow)
+                else:
+                    port = self.allocate_port()
+            except NatPortExhausted:
+                # Covers the shared pool's PortPoolExhausted (a subclass).
+                self._exhausted.add(flow)
+                return Drop()
+            self._map(flow, self.external_ip, port)
+            mapping = self.mappings[flow]
         ext_ip, ext_port = mapping
         return Modify.set(src_ip=ext_ip, src_port=ext_port)
 
@@ -132,16 +159,21 @@ class MazuNAT(NetworkFunction):
 
         self.charge(Operation.EXACT_MATCH_LOOKUP)
         if self.is_internal(flow.src_ip):
-            action: Optional[Modify] = self._outbound_action(flow)
+            action: Union[Modify, Drop, None] = self._outbound_action(flow)
         else:
             action = self._inbound_action(flow)
 
         if action is None:
             # Unknown inbound traffic: a real MazuNAT drops it; we forward
             # to keep chains composable and record nothing but FORWARD.
-            from repro.core.actions import Forward
-
             api.add_header_action(fid, Forward())
+            return
+        if isinstance(action, Drop):
+            # Port exhaustion drops the new flow instead of aborting the run.
+            self.port_exhaustion_drops += 1
+            self.charge(Operation.DROP_FREE)
+            packet.drop()
+            api.add_header_action(fid, action)
             return
 
         self.translations += 1
@@ -152,6 +184,7 @@ class MazuNAT(NetworkFunction):
 
     def handle_flow_close(self, packet: Packet) -> None:
         flow = packet.five_tuple()
+        self._exhausted.discard(flow)
         if not self.release_mapping(flow):
             # Fast-path FIN packets already carry the rewritten header;
             # map back through the reverse table.
@@ -181,16 +214,14 @@ class MazuNAT(NetworkFunction):
         internal = self._mapping_key(flow)
         if internal is None:
             return None
-        ext_ip, ext_port = self.mappings.pop(internal)
-        self.reverse.pop((ext_ip, ext_port, internal.protocol), None)
+        ext_ip, ext_port = self._unmap(internal)
         # The port does NOT return to the free list: the mapping still
         # owns it, just on another replica now.
         return (internal, ext_ip, ext_port)
 
     def import_flow_state(self, flow: FiveTuple, state) -> None:
         internal, ext_ip, ext_port = state
-        self.mappings[internal] = (ext_ip, ext_port)
-        self.reverse[(ext_ip, ext_port, internal.protocol)] = internal
+        self._map(internal, ext_ip, ext_port)
         self._free_ports.discard(ext_port)
 
     def state_snapshot(self, flow: FiveTuple):
@@ -203,6 +234,9 @@ class MazuNAT(NetworkFunction):
         super().reset()
         self.mappings.clear()
         self.reverse.clear()
+        self._ports_in_use.clear()
+        self._exhausted.clear()
         self._free_ports.clear()
         self._next_port = self.port_lo
         self.translations = 0
+        self.port_exhaustion_drops = 0

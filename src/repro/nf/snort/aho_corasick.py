@@ -1,9 +1,10 @@
 """Aho–Corasick multi-pattern string matching.
 
-Snort's detection engine prescans payloads for every ``content`` pattern
-of the active rule set in one pass; this module provides that machinery.
-The automaton is built once per rule set (goto/fail/output construction)
-and reused for every packet.
+Snort's detection engine prescans payloads for the ``content`` patterns
+of the active rule set in one pass; this automaton is that algorithm and
+the reference the engine's C-level prescan (``RuleGroup.matched_keys``)
+is checked against.  The automaton is built once per pattern set
+(goto/fail/output construction) and reused for every text.
 
 Patterns are byte strings; case-insensitive patterns are supported by
 normalising both the pattern and the scanned text through a translation
@@ -115,40 +116,3 @@ class AhoCorasick:
     def contains(self, text: bytes, pattern_id: int) -> bool:
         return pattern_id in self.matched_ids(text)
 
-
-class MultiPatternIndex:
-    """Two automatons — case-sensitive and nocase — behind one interface.
-
-    Snort rule sets mix case-sensitive and ``nocase`` contents; each goes
-    to the matching automaton and search results are merged back to the
-    caller's opaque pattern keys.
-    """
-
-    def __init__(self):
-        self._sensitive = AhoCorasick(case_sensitive=True)
-        self._insensitive = AhoCorasick(case_sensitive=False)
-        self._keys: List[Tuple[bool, int]] = []
-
-    def add(self, pattern: bytes, nocase: bool = False) -> int:
-        """Register a pattern; returns a stable key for match lookups."""
-        automaton = self._insensitive if nocase else self._sensitive
-        inner_id = automaton.add(pattern)
-        self._keys.append((nocase, inner_id))
-        return len(self._keys) - 1
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def build(self) -> None:
-        self._sensitive.build()
-        self._insensitive.build()
-
-    def matched_keys(self, text: bytes) -> Set[int]:
-        sensitive_hits = self._sensitive.matched_ids(text)
-        insensitive_hits = self._insensitive.matched_ids(text)
-        matched: Set[int] = set()
-        for key, (nocase, inner_id) in enumerate(self._keys):
-            hits = insensitive_hits if nocase else sensitive_hits
-            if inner_id in hits:
-                matched.add(key)
-        return matched

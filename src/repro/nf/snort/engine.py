@@ -6,20 +6,23 @@ the flow — the subset of rules whose header part covers the five-tuple,
 compiled into a :class:`FlowMatcher` — and the same matcher is invoked
 for every subsequent packet.
 
-Payload evaluation uses an Aho–Corasick prescan shared across all rules:
-one pass over the payload yields the set of content patterns present;
-a rule fully matches when all of its contents were found and its pcre
-(if any) matches.  ``pass`` rules suppress ``alert``/``log`` verdicts for
+The payload stage of a candidate set is compiled once into a
+:class:`RuleGroup` and shared by every flow with the same header verdict
+(Snort's port groups).  Per packet, a content prescan tests each of the
+group's distinct patterns with a C-level substring search, and only the
+content-free rules and the rules whose every content was found are
+evaluated further: positional modifiers and pcre are verified exactly,
+in rule order.  ``pass`` rules suppress ``alert``/``log`` verdicts for
 packets they match, covering the three conditional branches of §VII-C1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Pattern, Sequence, Set, Tuple
 
 from repro.net.flow import FiveTuple
-from repro.nf.snort.aho_corasick import MultiPatternIndex
+from repro.nf.snort.aho_corasick import _LOWER
 from repro.nf.snort.rules import RuleAction, SnortRule
 
 
@@ -42,6 +45,101 @@ class InspectionResult:
         return "clean"
 
 
+class _CompiledRule:
+    """One candidate's payload stage, precomputed at group compile time."""
+
+    __slots__ = ("rule", "keys", "positional", "pcre", "is_pass")
+
+    def __init__(self, rule: SnortRule, keys: FrozenSet[int]):
+        self.rule = rule
+        #: the group's content keys this rule needs, all of them found
+        self.keys = keys
+        #: offset/depth/distance/within: contents are verified in order
+        self.positional = any(
+            content.offset or content.depth is not None or content.is_relative
+            for content in rule.contents
+        )
+        self.pcre: Optional[Pattern[bytes]] = rule.pcre
+        self.is_pass = rule.action is RuleAction.PASS
+
+    def payload_matches(self, payload: bytes) -> bool:
+        """Full evaluation once the prescan found every content."""
+        if self.positional:
+            return self.rule.payload_matches(payload)
+        return self.pcre is None or self.pcre.search(payload) is not None
+
+
+class RuleGroup:
+    """The compiled payload stage of one candidate rule set.
+
+    A content key is one distinct ``(pattern, nocase)`` pair of the
+    candidates; ``nocase`` patterns are stored lowered through
+    ``_LOWER`` and tested against the lowered payload, which is Snort's
+    ``nocase`` semantics.
+    """
+
+    __slots__ = ("rules", "compiled", "sensitive", "nocase", "users", "content_free")
+
+    def __init__(self, rules: Sequence[SnortRule]):
+        self.rules: Tuple[SnortRule, ...] = tuple(rules)
+        key_of: Dict[Tuple[bytes, bool], int] = {}
+        sensitive: List[Tuple[bytes, int]] = []
+        nocase: List[Tuple[bytes, int]] = []
+        users: List[List[int]] = []
+        compiled: List[_CompiledRule] = []
+        for index, rule in enumerate(self.rules):
+            keys: Set[int] = set()
+            for content in rule.contents:
+                pattern = content.pattern.translate(_LOWER) if content.nocase else content.pattern
+                key = key_of.get((pattern, content.nocase))
+                if key is None:
+                    key = key_of[(pattern, content.nocase)] = len(users)
+                    (nocase if content.nocase else sensitive).append((pattern, key))
+                    users.append([])
+                if key not in keys:
+                    users[key].append(index)
+                    keys.add(key)
+            compiled.append(_CompiledRule(rule, frozenset(keys)))
+        self.compiled: Tuple[_CompiledRule, ...] = tuple(compiled)
+        #: (pattern, key) pairs tested against the payload as is
+        self.sensitive: Tuple[Tuple[bytes, int], ...] = tuple(sensitive)
+        #: (lowered pattern, key) pairs tested against the lowered payload
+        self.nocase: Tuple[Tuple[bytes, int], ...] = tuple(nocase)
+        #: key -> indices of the candidates using it, ascending
+        self.users: Tuple[Tuple[int, ...], ...] = tuple(tuple(u) for u in users)
+        self.content_free: Tuple[int, ...] = tuple(
+            index for index, rule in enumerate(self.rules) if not rule.contents
+        )
+
+    def __len__(self) -> int:
+        return len(self.rules)
+
+    def matched_keys(self, payload: bytes) -> Set[int]:
+        """The content keys occurring anywhere in the payload."""
+        found = {key for pattern, key in self.sensitive if pattern in payload}
+        if self.nocase:
+            lowered = payload.translate(_LOWER)
+            found.update(key for pattern, key in self.nocase if pattern in lowered)
+        return found
+
+    def eligible(self, payload: bytes) -> List[_CompiledRule]:
+        """Candidates that can still match, in candidate order.
+
+        A rule with contents is eligible only when every one of its
+        contents was found; any other rule cannot match the payload.
+        """
+        matched = self.matched_keys(payload)
+        if not matched:
+            return [self.compiled[index] for index in self.content_free]
+        indices = set(self.content_free)
+        for key in matched:
+            indices.update(self.users[key])
+        compiled = self.compiled
+        return [
+            compiled[index] for index in sorted(indices) if compiled[index].keys <= matched
+        ]
+
+
 class FlowMatcher:
     """The per-flow rule-matching function Snort assigns on flow setup.
 
@@ -52,45 +150,50 @@ class FlowMatcher:
     fast path as a recorded state function.
     """
 
-    __slots__ = ("flow", "candidates", "flowbits", "_engine")
+    __slots__ = ("flow", "group", "flowbits")
 
-    def __init__(self, flow: FiveTuple, candidates: Sequence[SnortRule], engine: "DetectionEngine"):
+    def __init__(self, flow: FiveTuple, group: RuleGroup):
         self.flow = flow
-        self.candidates: Tuple[SnortRule, ...] = tuple(candidates)
+        self.group = group
         self.flowbits: set = set()
-        self._engine = engine
+
+    @property
+    def candidates(self) -> Tuple[SnortRule, ...]:
+        return self.group.rules
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return len(self.group)
 
     def inspect(self, payload: bytes) -> InspectionResult:
-        """Evaluate all candidate rules against one payload, in rule order.
+        """Evaluate the candidate rules against one payload, in rule order.
 
         A matching rule's flowbits mutations apply immediately, so later
         rules in the same packet observe them.  A matching ``pass`` rule
         short-circuits the packet entirely (Snort's pass precedence).
         """
-        matched_keys = self._engine.index.matched_keys(payload) if payload else set()
         result = InspectionResult()
+        eligible = self.group.eligible(payload)
+        if not eligible:
+            return result
+        bits = self.flowbits
 
         # Pass precedence: a pass rule matching this packet exempts it.
-        for rule in self.candidates:
-            if rule.action is not RuleAction.PASS:
-                continue
-            if rule.flowbits_allow(frozenset(self.flowbits)) and self._engine.rule_payload_matches(
-                rule, payload, matched_keys
+        for compiled in eligible:
+            if (
+                compiled.is_pass
+                and compiled.rule.flowbits_allow(bits)
+                and compiled.payload_matches(payload)
             ):
                 result.passed = True
                 return result
 
-        for rule in self.candidates:
-            if rule.action is RuleAction.PASS:
+        for compiled in eligible:
+            if compiled.is_pass:
                 continue
-            if not rule.flowbits_allow(frozenset(self.flowbits)):
+            rule = compiled.rule
+            if not rule.flowbits_allow(bits) or not compiled.payload_matches(payload):
                 continue
-            if not self._engine.rule_payload_matches(rule, payload, matched_keys):
-                continue
-            rule.flowbits_apply(self.flowbits)
+            rule.flowbits_apply(bits)
             if rule.suppresses_output:
                 continue
             if rule.action is RuleAction.ALERT:
@@ -100,57 +203,25 @@ class FlowMatcher:
         return result
 
     def __repr__(self) -> str:
-        return f"<FlowMatcher {self.flow} ({len(self.candidates)} rules)>"
+        return f"<FlowMatcher {self.flow} ({len(self.group)} rules)>"
 
 
 class DetectionEngine:
-    """Rule set + shared multi-pattern index + per-flow matcher factory."""
+    """Rule set + per-candidate-set rule groups + per-flow matcher factory."""
 
     def __init__(self, rules: Sequence[SnortRule]):
         self.rules: List[SnortRule] = list(rules)
-        self.index = MultiPatternIndex()
-        #: rule id -> keys of its content patterns in the shared index
-        self._content_keys: Dict[int, Set[int]] = {}
-        for rule_id, rule in enumerate(self.rules):
-            keys = {
-                self.index.add(content.pattern, nocase=content.nocase)
-                for content in rule.contents
-            }
-            self._content_keys[rule_id] = keys
-        self.index.build()
+        #: candidate rule indices -> the group compiled for them
+        self._groups: Dict[Tuple[int, ...], RuleGroup] = {}
 
     def __len__(self) -> int:
         return len(self.rules)
 
-    def rule_payload_matches(self, rule: SnortRule, payload: bytes, matched_keys: Set[int]) -> bool:
-        """Full payload evaluation given the prescan results.
-
-        The Aho-Corasick prescan is a necessary condition (pattern occurs
-        *somewhere*); contents with offset/depth modifiers are then
-        verified positionally, exactly like Snort's own fast-pattern +
-        rule-evaluation split.
-        """
-        keys = self._keys_for(rule)
-        if not keys.issubset(matched_keys):
-            return False
-        if any(
-            content.offset or content.depth is not None or content.is_relative
-            for content in rule.contents
-        ):
-            # Positional/relative constraints: full in-order evaluation.
-            return rule.payload_matches(payload)
-        if rule.pcre is not None and rule.pcre.search(payload) is None:
-            return False
-        return True
-
-    def _keys_for(self, rule: SnortRule) -> Set[int]:
-        cache = getattr(self, "_id_cache", None)
-        if cache is None:
-            cache = {id(r): self._content_keys[i] for i, r in enumerate(self.rules)}
-            self._id_cache = cache
-        return cache[id(rule)]
-
     def assign_flow_matcher(self, flow: FiveTuple) -> FlowMatcher:
-        """Header-match every rule once; compile the flow's matcher."""
-        candidates = [rule for rule in self.rules if rule.header_matches(flow)]
-        return FlowMatcher(flow, candidates, self)
+        """Header-match every rule once; bind the flow to its candidate
+        set's group, compiling the group on first use."""
+        indices = tuple(i for i, rule in enumerate(self.rules) if rule.header_matches(flow))
+        group = self._groups.get(indices)
+        if group is None:
+            group = self._groups[indices] = RuleGroup([self.rules[i] for i in indices])
+        return FlowMatcher(flow, group)

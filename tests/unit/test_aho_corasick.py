@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.nf.snort.aho_corasick import AhoCorasick, MultiPatternIndex
+from repro.nf.snort.aho_corasick import AhoCorasick
+from repro.nf.snort.engine import RuleGroup
+from repro.nf.snort.rules import parse_rules
 
 
 class TestAhoCorasick:
@@ -83,23 +85,29 @@ class TestAhoCorasick:
         assert ac.matched_ids(text) == expected
 
 
-class TestMultiPatternIndex:
+def _group(*contents):
+    """A rule group with one alert rule per ``(pattern, nocase)`` content."""
+    text = "\n".join(
+        f'alert tcp any any -> any any (content:"{pattern}";'
+        f'{" nocase;" if nocase else ""} sid:{sid};)'
+        for sid, (pattern, nocase) in enumerate(contents, start=1)
+    )
+    return RuleGroup(parse_rules(text))
+
+
+class TestRuleGroupPrescan:
     def test_mixed_case_sensitivity(self):
-        index = MultiPatternIndex()
-        strict = index.add(b"Root", nocase=False)
-        loose = index.add(b"Admin", nocase=True)
-        matched = index.matched_keys(b"root admin")
-        assert strict not in matched
-        assert loose in matched
+        group = _group(("Root", False), ("Admin", True))
+        strict, loose = (rule.keys for rule in group.compiled)
+        matched = group.matched_keys(b"root admin")
+        assert not strict <= matched
+        assert loose <= matched
 
     def test_keys_are_stable(self):
-        index = MultiPatternIndex()
-        keys = [index.add(bytes([65 + i])) for i in range(5)]
-        assert keys == list(range(5))
-        assert len(index) == 5
+        group = _group(*[(chr(65 + i), False) for i in range(5)])
+        assert [rule.keys for rule in group.compiled] == [frozenset({i}) for i in range(5)]
+        assert len(group) == 5
 
     def test_all_match(self):
-        index = MultiPatternIndex()
-        a = index.add(b"aa")
-        b = index.add(b"BB", nocase=True)
-        assert index.matched_keys(b"xxaaxxbbxx") == {a, b}
+        group = _group(("aa", False), ("BB", True))
+        assert group.matched_keys(b"xxaaxxbbxx") == {0, 1}

@@ -9,10 +9,11 @@ and the injector deterministic on the packet-index clock.
 import pytest
 
 from repro.core.framework import SpeedyBox
-from repro.ft import FaultInjector, PacketLog, capture_flow, restore_flow
+from repro.ft import CheckpointManager, FaultInjector, PacketLog, capture_flow, restore_flow
 from repro.net.flow import FiveTuple
 from repro.nf import IPFilter, MazuNAT, Monitor
-from repro.scale import chain_state_snapshot
+from repro.obs.registry import MetricsRegistry
+from repro.scale import ScaleCluster, chain_state_snapshot
 from repro.traffic import FlowSpec, TrafficGenerator
 
 
@@ -145,6 +146,24 @@ class TestRestoreFlow:
         assert chain_state_snapshot(first.nfs, flow) == chain_state_snapshot(
             second.nfs, flow
         )
+
+
+class TestCheckpointManagerCounters:
+    def test_flows_captured_matches_registry_counter(self):
+        registry = MetricsRegistry()
+        cluster = ScaleCluster(build_chain, replicas=2)
+        for packet in trace(flows=6, packets=3):
+            cluster.process(packet)
+        manager = CheckpointManager(cluster, metrics=registry)
+        counter = registry.counter("ft_flows_captured_total")
+
+        interval = sum(manager.snapshot_replica(rid, log_seq=0) for rid in sorted(cluster.replicas))
+        assert interval == 6
+        assert manager.flows_captured == counter.value() == 6
+
+        flow, home = sorted(cluster.flow_homes().items())[0]
+        assert manager.snapshot_flow(home, flow, log_seq=1) is not None
+        assert manager.flows_captured == counter.value() == 7
 
 
 class TestPacketLog:

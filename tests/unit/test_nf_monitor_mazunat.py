@@ -71,11 +71,17 @@ class TestMazuNATOutbound:
         assert a.l4.src_port != b.l4.src_port
 
     def test_port_exhaustion_raises(self):
+        # The allocator raises; process() turns that into a counted drop.
         nat = MazuNAT("nat", port_range=(10000, 10001))
         nat.process(make_packet(sport=1), NullInstrumentationAPI())
         nat.process(make_packet(sport=2), NullInstrumentationAPI())
         with pytest.raises(NatPortExhausted):
-            nat.process(make_packet(sport=3), NullInstrumentationAPI())
+            nat.allocate_port()
+        refused = make_packet(sport=3)
+        nat.process(refused, NullInstrumentationAPI())
+        assert refused.dropped
+        assert nat.port_exhaustion_drops == 1
+        assert len(nat.mappings) == 2
 
     def test_released_port_is_reused(self):
         nat = MazuNAT("nat", port_range=(10000, 10001))
@@ -85,6 +91,61 @@ class TestMazuNATOutbound:
         assert nat.release_mapping(original_flow)
         nat.process(make_packet(sport=2), NullInstrumentationAPI())
         nat.process(make_packet(sport=3), NullInstrumentationAPI())  # reuses freed port
+
+
+class _RebuildingNAT(MazuNAT):
+    """Reference allocator: rebuilds the in-use port set on every call."""
+
+    def allocate_port(self) -> int:
+        in_use = {port for __, port, __ in self.reverse}
+        while self._free_ports:
+            port = self._free_ports.pop()
+            if port not in in_use:
+                return port
+        while self._next_port <= self.port_hi:
+            port = self._next_port
+            self._next_port += 1
+            if port not in in_use:
+                return port
+        raise NatPortExhausted("reference pool exhausted")
+
+
+class TestMazuNATAllocationSequence:
+    def test_sequence_matches_rebuilt_in_use_set(self):
+        import random
+
+        rng = random.Random(7)
+        nats = [cls("nat", port_range=(10000, 10040)) for cls in (MazuNAT, _RebuildingNAT)]
+        live = []
+        for step in range(400):
+            choice = rng.random()
+            if choice < 0.5 or not live:
+                sport = 2000 + step
+                packets = [make_packet(sport=sport) for __ in nats]
+                for nat, packet in zip(nats, packets):
+                    nat.process(packet, NullInstrumentationAPI())
+                assert packets[0].dropped == packets[1].dropped
+                if not packets[0].dropped:
+                    live.append(FiveTuple.make("10.0.0.1", "172.16.0.9", sport, 80))
+            elif choice < 0.75:
+                flow = live.pop(rng.randrange(len(live)))
+                assert [nat.release_mapping(flow) for nat in nats] == [True, True]
+            elif choice < 0.9:
+                # A flow migrated in from a peer holds a port this
+                # allocator never handed out.
+                port = 10000 + step % 41
+                if any(held == port for __, held in nats[0].mappings.values()):
+                    continue
+                flow = FiveTuple.make("10.0.0.2", "172.16.0.9", 50000 + step, 80)
+                for nat in nats:
+                    nat.import_flow_state(flow, (flow, nat.external_ip, port))
+                live.append(flow)
+            else:
+                flow = live.pop(rng.randrange(len(live)))
+                assert nats[0].export_flow_state(flow) == nats[1].export_flow_state(flow)
+            assert nats[0].mappings == nats[1].mappings
+            assert nats[0]._next_port == nats[1]._next_port
+            assert nats[0]._ports_in_use.keys() == {port for __, port, __ in nats[0].reverse}
 
 
 class TestMazuNATInbound:
