@@ -17,9 +17,7 @@ and once through the legacy per-packet oracle (``batch.packet_view()``
 with ``batch_lane=False``), asserting exact result equality and a
 >= 10x per-packet speedup; plus a 10M-packet / 1M-flow scale cell that
 must finish in bounded wallclock and bounded peak RSS (the memory gate
-for the deferred-flush design).  The batch cells need numpy — the
-pure-Python lane fallback is correct but not fast — and are skipped
-without it.
+for the deferred-flush design).
 
 The measured numbers land in ``BENCH_wallclock.json``;
 ``benchmarks/check_wallclock_regression.py`` compares a fresh run
@@ -33,7 +31,6 @@ import resource
 import time
 
 from benchmarks.harness import make_platform, save_result, uniform_flow_packets
-from repro import vector as vec
 from repro.core.framework import SpeedyBox
 from repro.core.actions import Modify
 from repro.nf import IPFilter, SyntheticNF
@@ -146,8 +143,7 @@ def run_wallclock():
             "legacy_s_per_100k": legacy_s * (100_000 / PACKETS),
             "identical": identical(fast_result, legacy_result),
         }
-    if vec.HAVE_NUMPY:
-        results.update(run_batch_cells())
+    results.update(run_batch_cells())
     return results
 
 
@@ -231,18 +227,17 @@ def test_wallclock(benchmark):
         f"(need >= {MIN_SPEEDUP}x)"
     )
     assert results["onvm_n5"]["speedup"] >= 2.0
-    if vec.HAVE_NUMPY:
-        batch = results["bess_batch_1m"]
-        assert batch["speedup"] >= MIN_BATCH_SPEEDUP, (
-            f"batch lane only {batch['speedup']:.2f}x on bess_batch_1m "
-            f"(need >= {MIN_BATCH_SPEEDUP}x)"
-        )
-        scale = results["bess_batch_10m"]
-        assert scale["speedup_vs_1m_legacy"] >= MIN_BATCH_SPEEDUP, (
-            f"batch lane only {scale['speedup_vs_1m_legacy']:.2f}x on the "
-            f"10M-packet cell (need >= {MIN_BATCH_SPEEDUP}x)"
-        )
-        assert scale["peak_rss_mb"] <= BATCH_10M_MAX_RSS_MB, (
-            f"10M-packet cell peaked at {scale['peak_rss_mb']:.0f}MB RSS "
-            f"(bound {BATCH_10M_MAX_RSS_MB:.0f}MB)"
-        )
+    batch = results["bess_batch_1m"]
+    assert batch["speedup"] >= MIN_BATCH_SPEEDUP, (
+        f"batch lane only {batch['speedup']:.2f}x on bess_batch_1m "
+        f"(need >= {MIN_BATCH_SPEEDUP}x)"
+    )
+    scale = results["bess_batch_10m"]
+    assert scale["speedup_vs_1m_legacy"] >= MIN_BATCH_SPEEDUP, (
+        f"batch lane only {scale['speedup_vs_1m_legacy']:.2f}x on the "
+        f"10M-packet cell (need >= {MIN_BATCH_SPEEDUP}x)"
+    )
+    assert scale["peak_rss_mb"] <= BATCH_10M_MAX_RSS_MB, (
+        f"10M-packet cell peaked at {scale['peak_rss_mb']:.0f}MB RSS "
+        f"(bound {BATCH_10M_MAX_RSS_MB:.0f}MB)"
+    )

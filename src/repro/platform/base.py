@@ -570,8 +570,6 @@ class Platform:
                 return self._run_load_batch(packets, inter_arrival_ns)
             packets = packets.packet_view()
         spans = self.spans
-        forensics = self.forensics
-        forensics_on = forensics is not None and forensics.enabled
         if spans is not None:
             spans.begin_run()
             self._span_run_index = -1
@@ -581,6 +579,29 @@ class Platform:
             )
         finally:
             self._span_run_index = None
+        return self._replay(
+            plans, gaps, dropped, inter_arrival_ns, self._forensics_plan_info
+        )
+
+    def _replay(
+        self,
+        plans: List[StagePlan],
+        gaps: List[float],
+        dropped: int,
+        inter_arrival_ns: float,
+        plan_info: Optional[Dict[int, tuple]] = None,
+    ) -> LoadResult:
+        """Phase two of a loaded run: replay the plans in simulated time.
+
+        The closed-form replay when :meth:`_analytic_valid`, else the DES
+        with observer and ring metrics; then the span annotation, the
+        result, the time-series ingest and the forensics decomposition.
+        ``plan_info`` is the functional pass's plan-info capture
+        (``id(plan) -> (plan, fid, is_fast, transfer_ns)``); without it
+        forensics labels no flows and estimates transfer from plan shape.
+        """
+        forensics = self.forensics
+        forensics_on = forensics is not None and forensics.enabled
         index_latencies = None
         if self._analytic_valid(plans):
             if forensics_on:
@@ -601,13 +622,17 @@ class Platform:
             engine.run()
             self._publish_load_metrics(run.rings)
             lane = "des"
-        if spans is not None:
-            spans.annotate_loaded(run.arrival_at, run.completions)
+        if self.spans is not None:
+            self.spans.annotate_loaded(run.arrival_at, run.completions)
         result = run.to_load_result(offered=len(plans), dropped=dropped)
         if self.timeseries is not None:
             self._ingest_timeseries(result, inter_arrival_ns)
         if forensics_on:
-            info = self._forensics_plan_info
+            fids = fast_flags = transfers = None
+            if plan_info:
+                fids = _PlanInfoColumn(plans, plan_info, 1)
+                fast_flags = _PlanInfoColumn(plans, plan_info, 2)
+                transfers = {key: entry[3] for key, entry in plan_info.items()}
             forensics.observe_run(
                 self,
                 plans,
@@ -615,9 +640,9 @@ class Platform:
                 run.completions,
                 replica=self.label,
                 lane=lane,
-                fids=_PlanInfoColumn(plans, info, 1) if info else None,
-                fast_flags=_PlanInfoColumn(plans, info, 2) if info else None,
-                transfers={pid: entry[3] for pid, entry in info.items()} or None,
+                fids=fids,
+                fast_flags=fast_flags,
+                transfers=transfers,
                 index_latencies=index_latencies,
             )
         return result
@@ -691,8 +716,6 @@ class Platform:
             "plan_table_size": len(table),
         }
 
-        forensics = self.forensics
-        forensics_on = forensics is not None and forensics.enabled
         if inter_arrival_ns == 0 and self.config.analytic_replay:
             vectored = analytic_replay_vector(table, plan_ids, self.config.ring_capacity)
             if vectored is not None:
@@ -706,7 +729,8 @@ class Platform:
                 )
                 if self.timeseries is not None:
                     self._ingest_timeseries(result, inter_arrival_ns)
-                if forensics_on:
+                forensics = self.forensics
+                if forensics is not None and forensics.enabled:
                     forensics.observe_batch(
                         self, table, plan_ids, latencies,
                         replica=self.label, batch=batch,
@@ -718,37 +742,7 @@ class Platform:
         gaps = [inter_arrival_ns] * offered
         if gaps:
             gaps[0] = 0.0
-        index_latencies = None
-        if self._analytic_valid(plans):
-            if forensics_on:
-                index_latencies = array("d")
-            arrival_at, completions = analytic_replay(
-                plans,
-                gaps,
-                self._stage_count(),
-                self.config.ring_capacity,
-                index_latencies=index_latencies,
-            )
-            run = PipelineRun(rings=[], arrival_at=arrival_at, completions=completions)
-            lane = "analytic"
-        else:
-            engine = Engine()
-            self._attach_observer(engine)
-            run = self._spawn_pipeline(engine, plans, gaps)
-            engine.run()
-            self._publish_load_metrics(run.rings)
-            lane = "des"
-        if spans is not None:
-            spans.annotate_loaded(run.arrival_at, run.completions)
-        result = run.to_load_result(offered=offered, dropped=dropped)
-        if self.timeseries is not None:
-            self._ingest_timeseries(result, inter_arrival_ns)
-        if forensics_on:
-            forensics.observe_run(
-                self, plans, run.arrival_at, run.completions,
-                replica=self.label, lane=lane, index_latencies=index_latencies,
-            )
-        return result
+        return self._replay(plans, gaps, dropped, inter_arrival_ns)
 
     def _analytic_valid(self, plans: Sequence[StagePlan]) -> bool:
         """May this run use the closed-form replay instead of the DES?

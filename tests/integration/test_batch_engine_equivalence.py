@@ -16,6 +16,7 @@ from repro.core.actions import Modify
 from repro.core.framework import SpeedyBox
 from repro.nf import SyntheticNF
 from repro.obs.audit import AuditLog
+from repro.obs.forensics import ForensicsEngine
 from repro.platform import BessPlatform, OpenNetVMPlatform, PlatformConfig
 from repro.traffic.columnar import batch_from_specs, uniform_batch
 from repro.traffic.generator import FlowSpec
@@ -143,3 +144,57 @@ def test_cluster_batch_rejects_frozen_and_ft():
     cluster._frozen[batch.five_tuple_of(0).canonical()] = []
     with pytest.raises(MigrationError):
         cluster.run_load_batch(batch)
+
+
+
+#: the reference configuration: interpreted processing plus the DES
+ORACLE = PlatformConfig(compiled_flows=False, analytic_replay=False, batch_lane=False)
+
+#: per-window forensics fields that do not depend on how the plan total
+#: splits into service and transfer: a batch run estimates transfer from
+#: the plan shape, a per-packet run from each plan's report
+_LANE_INVARIANT = ("packets", "sampled", "latency_sum_ns", "max_ns", "queue_ns",
+                   "stall_ns", "p50_ns", "p99_ns")
+
+
+def run_paced_leg(platform_cls, packets, config, gap_ns):
+    # sample_every=1: every packet is decomposed, so the sums do not
+    # depend on whether the replay completes packets in index order
+    forensics = ForensicsEngine(window_packets=32, sample_every=1)
+    runtime = SpeedyBox(modify_chain())
+    platform = platform_cls(runtime, config=config, forensics=forensics)
+    return platform.run_load(packets, inter_arrival_ns=gap_ns), forensics
+
+
+def forensics_view(engine):
+    totals = engine.totals
+    return (
+        totals["queue"],
+        totals["stall"],
+        totals["service"] + totals["transfer"],
+        [
+            [window[key] for key in _LANE_INVARIANT]
+            + [window["service_ns"] + window["transfer_ns"]]
+            for window in engine.windows
+        ],
+    )
+
+
+@pytest.mark.parametrize("gap_ns", [0.0, 250.0, 1000.0])
+@pytest.mark.parametrize("platform_name", ["bess", "onvm"])
+def test_paced_batch_matches_oracle(platform_name, gap_ns):
+    """Paced batches (``inter_arrival_ns > 0``) take the lane's general
+    replay branch; gap 0 takes the vectorized replay."""
+    batch = uniform_batch(48, 5, payload=b"pp", interleave="round_robin", block=16)
+    platform_cls = PLATFORMS[platform_name]
+    lane, lane_fx = run_paced_leg(
+        platform_cls, batch, PlatformConfig(batch_lane=True), gap_ns
+    )
+    oracle, oracle_fx = run_paced_leg(platform_cls, batch.packet_view(), ORACLE, gap_ns)
+    assert (lane.offered, lane.delivered, lane.dropped) == (
+        oracle.offered, oracle.delivered, oracle.dropped,
+    )
+    assert lane.makespan_ns == oracle.makespan_ns
+    assert sorted(lane.latencies_ns) == sorted(oracle.latencies_ns)
+    assert lane_fx.packets == oracle_fx.packets == len(batch)
+    assert forensics_view(lane_fx) == forensics_view(oracle_fx)

@@ -145,6 +145,16 @@ def f(api):
             assert report.added_loc < 40
             assert report.core_loc > report.added_loc
 
+    def test_committed_table2_matches_integration_table(self):
+        from pathlib import Path
+
+        from benchmarks.test_table2_integration_loc import render_table2
+
+        committed = Path(__file__).resolve().parents[2] / (
+            "benchmarks/results/table2_integration_loc.txt"
+        )
+        assert committed.read_text() == render_table2(integration_table()) + "\n"
+
     def test_overhead_percent(self):
         from repro.stats.loc import InstrumentationReport
 

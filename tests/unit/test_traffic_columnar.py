@@ -4,18 +4,11 @@ The batch lane's correctness story starts here: a PacketBatch must
 materialize to exactly the packet stream TrafficGenerator would emit for
 the same flow specs, in every interleave mode, or every downstream
 equivalence claim is meaningless.  The suite also pins the vectorized
-FID column against the scalar hash and exercises the REPRO_NO_NUMPY
-import guard in a subprocess (the pure-Python fallback must behave
-identically).
+FID column against the scalar hash.
 """
-
-import os
-import subprocess
-import sys
 
 import pytest
 
-from repro import vector as vec
 from repro.core.classifier import fid_column, fid_of
 from repro.traffic.columnar import (
     PacketBatch,
@@ -133,42 +126,6 @@ def test_rejects_bad_arguments():
         uniform_batch(2, 1, interleave="zigzag")
     with pytest.raises(ValueError):
         batch_from_specs(mixed_specs(), interleave="zigzag")
-
-
-def test_no_numpy_import_guard_subprocess():
-    """REPRO_NO_NUMPY=1 forces the array-module fallback (satellite a).
-
-    Run in a subprocess so the parent's cached ``repro.vector`` module is
-    untouched; the fallback must produce the same wire bytes.
-    """
-    probe = (
-        "from repro import vector as vec\n"
-        "assert not vec.HAVE_NUMPY, 'guard did not disable numpy'\n"
-        "assert vec.np is None\n"
-        "from repro.traffic.columnar import uniform_batch\n"
-        "batch = uniform_batch(4, 2, payload=b'z', interleave='round_robin')\n"
-        "import sys\n"
-        "sys.stdout.buffer.write(b''.join(p.serialize() for p in batch.to_packets()))\n"
-    )
-    env = dict(os.environ, REPRO_NO_NUMPY="1")
-    env.setdefault("PYTHONPATH", "")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [p for p in (env["PYTHONPATH"],) if p] + sys.path
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True
-    )
-    assert result.returncode == 0, result.stderr.decode()
-    here = uniform_batch(4, 2, payload=b"z", interleave="round_robin")
-    assert result.stdout == b"".join(p.serialize() for p in here.to_packets())
-
-
-def test_vector_module_columns_roundtrip():
-    ints = vec.int_column([5, 6, 7])
-    assert list(ints) == [5, 6, 7]
-    assert list(vec.byte_column([1, 0, 255])) == [1, 0, 255]
-    zeros = vec.int_zeros(3)
-    assert list(zeros) == [0, 0, 0]
 
 
 def test_batch_is_packetbatch_instance():
